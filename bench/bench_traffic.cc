@@ -176,7 +176,9 @@ void RunClient(uint16_t port, const std::vector<uint64_t>* oids,
                   .status();
           if (s.ok()) s = client->Read(h.value(), kReadBytes).status();
         }
-        Status fin = client->Abort();  // read txn: no commit-log force
+        // A transaction that wrote nothing has no XID, so ending it costs
+        // nothing either way: no force, no commit-log record.
+        Status fin = client->Abort();
         if (s.ok()) s = fin;
       } else {
         s = client->Seek(h.value(), 0, Whence::kEnd).status();

@@ -294,7 +294,11 @@ Status Database::OpenBody(bool after_crash) {
 
   lo_ = std::make_unique<LoManager>(ctx_);
   if (fresh) {
+    // The bootstrap writes no tuple, but it must commit like a writer: its
+    // force makes the new catalog files durable, and its record is what
+    // marks the database as created (OpenBody's half-created rule).
     Transaction* boot = txns_->Begin();
+    boot->AssignXid();
     PGLO_RETURN_IF_ERROR(lo_->Bootstrap(boot));
     PGLO_RETURN_IF_ERROR(txns_->Commit(boot).status());
   }

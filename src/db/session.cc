@@ -45,7 +45,8 @@ Transaction* Session::Begin() {
   txn_ = db_->txns().Begin();
   ++stats_.begun;
   if (slot_ != nullptr) {
-    slot_->xid.store(txn_->xid(), std::memory_order_relaxed);
+    // The row shows 0 until the first write assigns the XID.
+    txn_->PublishXidTo(&slot_->xid);
     slot_->in_txn.store(1, std::memory_order_release);
     MirrorStats();
   }
@@ -58,7 +59,8 @@ Transaction* Session::BeginAsOf(CommitTime as_of) {
   txn_ = db_->txns().BeginAsOf(as_of);
   ++stats_.begun;
   if (slot_ != nullptr) {
-    slot_->xid.store(txn_->xid(), std::memory_order_relaxed);
+    // The row shows 0 until the first write assigns the XID.
+    txn_->PublishXidTo(&slot_->xid);
     slot_->in_txn.store(1, std::memory_order_release);
     MirrorStats();
   }

@@ -27,7 +27,8 @@ Result<Tid> HeapClass::Insert(Transaction* txn, Slice payload) {
   if (payload.size() > MaxPayload()) {
     return Status::InvalidArgument("tuple payload exceeds page capacity");
   }
-  Bytes image = MakeTupleImage(TupleHeader{txn->xid(), kInvalidXid}, payload);
+  Bytes image =
+      MakeTupleImage(TupleHeader{txn->AssignXid(), kInvalidXid}, payload);
 
   PGLO_ASSIGN_OR_RETURN(BlockNumber nblocks, NumBlocks());
   // Candidate pages: the hint, then the last page, then the free-space
@@ -52,7 +53,8 @@ Result<Tid> HeapClass::InsertAppend(Transaction* txn, Slice payload) {
   if (payload.size() > MaxPayload()) {
     return Status::InvalidArgument("tuple payload exceeds page capacity");
   }
-  Bytes image = MakeTupleImage(TupleHeader{txn->xid(), kInvalidXid}, payload);
+  Bytes image =
+      MakeTupleImage(TupleHeader{txn->AssignXid(), kInvalidXid}, payload);
 
   PGLO_ASSIGN_OR_RETURN(BlockNumber nblocks, NumBlocks());
   BlockNumber candidates[1] = {kInvalidBlock};
@@ -144,7 +146,7 @@ Status HeapClass::Delete(Transaction* txn, Tid tid) {
       return Status::Aborted("write-write conflict on tuple");
     }
   }
-  header.xmax = txn->xid();
+  header.xmax = txn->AssignXid();
   // In-place stamp: same length, so OverwriteItem cannot fail for size.
   Bytes image(item.size());
   std::memcpy(image.data(), item.data(), item.size());
@@ -246,10 +248,11 @@ Result<uint64_t> HeapClass::Vacuum(const CommitLog& clog, CommitTime horizon,
       bool dead = false;
       if (clog.GetState(h.xmin) == TxnState::kAborted) {
         dead = true;  // never visible to anyone
-      } else if (h.xmax != kInvalidXid &&
-                 clog.GetState(h.xmax) == TxnState::kCommitted &&
-                 clog.GetCommitTime(h.xmax) <= horizon) {
-        dead = true;  // deleted before the retained-history horizon
+      } else if (h.xmax != kInvalidXid) {
+        XidStatus deleter = clog.Resolve(h.xmax);
+        // Deleted before the retained-history horizon.
+        dead = deleter.state == TxnState::kCommitted &&
+               deleter.commit_time <= horizon;
       }
       if (dead) {
         PGLO_RETURN_IF_ERROR(page.DeleteItem(s));

@@ -16,9 +16,9 @@ class JsonWriter;
 /// strings, so consumers (pglo_top, tests, post-mortem tooling) can filter
 /// without parsing and a typo cannot silently create a new event kind.
 enum class EventType : uint8_t {
-  kTxnBegin = 0,       ///< a=xid
-  kTxnCommit,          ///< a=xid, b=commit time
-  kTxnAbort,           ///< a=xid
+  kTxnBegin = 0,       ///< a=0 (the first write assigns the XID), b=as-of
+  kTxnCommit,          ///< a=xid (0: wrote nothing), b=commit time
+  kTxnAbort,           ///< a=xid (0: wrote nothing)
   kCrashInjected,      ///< detail=site, a=write tick that crashed
   kTransientError,     ///< detail=site, a=burst length so far
   kCorruptionInjected, ///< detail=site, a=block index, b=bit offset

@@ -241,7 +241,9 @@ inline void RecordSimWait(const WaitPoint* wp, uint64_t sim_ns) {
 struct BackendActivityRow {
   uint32_t backend_id = 0;
   bool in_txn = false;
-  uint64_t xid = 0;  ///< current transaction's XID; 0 when idle
+  /// Current transaction's XID; 0 when idle or before its first write
+  /// (pg_stat_activity.backend_xid).
+  uint64_t xid = 0;
   uint64_t begun = 0;
   uint64_t committed = 0;
   uint64_t aborted = 0;

@@ -59,7 +59,7 @@ Status CommitLog::Open(const std::string& path) {
   max_xid_ = kInvalidXid;
   // Bootstrap transaction is implicitly committed at time 0 so catalog rows
   // are visible to every snapshot.
-  entries_[kBootstrapXid] = Entry{TxnState::kCommitted, 0};
+  entries_[kBootstrapXid] = XidStatus{TxnState::kCommitted, 0};
 
   uint8_t rec[kRecordSize];
   off_t pos = 0;
@@ -82,7 +82,7 @@ Status CommitLog::Open(const std::string& path) {
       }
       break;
     }
-    entries_[xid] = Entry{state, time};
+    entries_[xid] = XidStatus{state, time};
     if (xid > max_xid_) max_xid_ = xid;
     if (state == TxnState::kCommitted && time >= next_commit_time_) {
       next_commit_time_ = time + 1;
@@ -180,7 +180,7 @@ Result<CommitTime> CommitLog::RecordCommit(Xid xid) {
     time = next_commit_time_;
     PGLO_RETURN_IF_ERROR(
         AppendRecordLocked(xid, TxnState::kCommitted, time, &end));
-    entries_[xid] = Entry{TxnState::kCommitted, time};
+    entries_[xid] = XidStatus{TxnState::kCommitted, time};
     next_commit_time_ = time + 1;
     if (xid > max_xid_) max_xid_ = xid;
   }
@@ -208,7 +208,7 @@ Result<CommitTime> CommitLog::RecordCommitBatch(
     times_out->reserve(xids.size());
     for (size_t i = 0; i < xids.size(); ++i) {
       CommitTime time = first + i;
-      entries_[xids[i]] = Entry{TxnState::kCommitted, time};
+      entries_[xids[i]] = XidStatus{TxnState::kCommitted, time};
       if (xids[i] > max_xid_) max_xid_ = xids[i];
       times_out->push_back(time);
     }
@@ -224,7 +224,7 @@ Status CommitLog::RecordAbort(Xid xid) {
     WaitLockGuard lock(mu_, wp_mutex_);
     PGLO_RETURN_IF_ERROR(
         AppendRecordLocked(xid, TxnState::kAborted, kInvalidCommitTime, &end));
-    entries_[xid] = Entry{TxnState::kAborted, kInvalidCommitTime};
+    entries_[xid] = XidStatus{TxnState::kAborted, kInvalidCommitTime};
     if (xid > max_xid_) max_xid_ = xid;
   }
   // An abort lost to a crash is still an abort (no record == aborted), but
@@ -234,20 +234,15 @@ Status CommitLog::RecordAbort(Xid xid) {
   return Status::OK();
 }
 
-TxnState CommitLog::GetState(Xid xid) const {
-  WaitLockGuard lock(mu_, wp_mutex_);
-  auto it = entries_.find(xid);
-  if (it == entries_.end()) return TxnState::kAborted;
-  return it->second.state;
-}
+TxnState CommitLog::GetState(Xid xid) const { return Resolve(xid).state; }
 
-CommitTime CommitLog::GetCommitTime(Xid xid) const {
+XidStatus CommitLog::Resolve(Xid xid) const {
   WaitLockGuard lock(mu_, wp_mutex_);
   auto it = entries_.find(xid);
-  if (it == entries_.end() || it->second.state != TxnState::kCommitted) {
-    return kInvalidCommitTime;
+  if (it == entries_.end()) {
+    return XidStatus{TxnState::kAborted, kInvalidCommitTime};
   }
-  return it->second.commit_time;
+  return it->second;
 }
 
 }  // namespace pglo

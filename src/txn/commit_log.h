@@ -16,6 +16,12 @@ namespace pglo {
 
 class FaultInjector;
 
+/// What the commit log knows about one XID.
+struct XidStatus {
+  TxnState state;
+  CommitTime commit_time;  ///< kInvalidCommitTime unless committed
+};
+
 /// Persistent transaction status log.
 ///
 /// POSTGRES's no-overwrite storage system needs no undo/redo log: a tuple's
@@ -29,8 +35,8 @@ class FaultInjector;
 ///
 /// Thread-safe, with the durability syscall kept OFF the hot mutex: `mu_`
 /// serializes appends and protects the in-memory map (visibility checks hit
-/// GetState/GetCommitTime on every tuple), while the fdatasync that makes a
-/// record durable runs afterwards under a separate `sync_mu_`. Because
+/// Resolve on every tuple), while the fdatasync that makes a record durable
+/// runs afterwards under a separate `sync_mu_`. Because
 /// fdatasync covers the whole file, a committer first checks whether a later
 /// caller's sync already reached its append ("piggybacking") and skips the
 /// syscall if so. Consequences, documented in DESIGN.md §13:
@@ -71,15 +77,16 @@ class CommitLog {
   /// correctly demotes it to aborted).
   void RecordBegin(Xid xid) {
     WaitLockGuard lock(mu_, wp_mutex_);
-    entries_[xid] = Entry{TxnState::kInProgress, kInvalidCommitTime};
+    entries_[xid] = XidStatus{TxnState::kInProgress, kInvalidCommitTime};
   }
 
   /// Status of `xid`. Unknown transactions are reported kAborted — exactly
   /// the crash-recovery rule that makes no-overwrite storage atomic.
   TxnState GetState(Xid xid) const;
 
-  /// Commit time of `xid`; kInvalidCommitTime unless committed.
-  CommitTime GetCommitTime(Xid xid) const;
+  /// State and commit time of `xid` in one `mu_` acquisition — the
+  /// visibility hot path (Snapshot, Vacuum) resolves each XID with this.
+  XidStatus Resolve(Xid xid) const;
 
   /// Current value of the commit-time counter (the tick of the most recent
   /// commit). Snapshots taken at this value see all committed data.
@@ -124,11 +131,6 @@ class CommitLog {
   }
 
  private:
-  struct Entry {
-    TxnState state;
-    CommitTime commit_time;
-  };
-
   /// Appends `nbytes` of already-encoded records (no sync — see SyncTo).
   /// Assumes mu_ is held. `*end_out` receives the file size after the
   /// append, the durability target to pass to SyncTo.
@@ -148,7 +150,7 @@ class CommitLog {
   const WaitPoint* wp_fsync_ = nullptr;
   int fd_ = -1;
   std::string path_;
-  std::unordered_map<Xid, Entry> entries_;
+  std::unordered_map<Xid, XidStatus> entries_;
   CommitTime next_commit_time_ = 1;
   Xid max_xid_ = kInvalidXid;
   FaultInjector* injector_ = nullptr;

@@ -6,6 +6,8 @@
 
 namespace pglo {
 
+class TxnManager;
+
 /// Visibility rules over no-overwrite tuples.
 ///
 /// A snapshot sees a tuple version iff its inserter is visible and its
@@ -28,7 +30,7 @@ class Snapshot {
 
   /// Whether a tuple stamped (xmin, xmax) is visible to this snapshot.
   bool IsVisible(Xid xmin, Xid xmax) const {
-    return InserterVisible(xmin) && !DeleterVisible(xmax);
+    return WriterVisible(xmin) && !WriterVisible(xmax);
   }
 
   /// Commit-log state of `xid` (used for write-conflict detection).
@@ -39,18 +41,15 @@ class Snapshot {
     return historical() ? as_of_ : snap_time_;
   }
 
-  bool InserterVisible(Xid xmin) const {
-    if (xmin == kInvalidXid) return false;
-    if (!historical() && xmin == my_xid_) return true;
-    if (clog_->GetState(xmin) != TxnState::kCommitted) return false;
-    return clog_->GetCommitTime(xmin) <= Horizon();
-  }
+  friend class TxnManager;  // sets my_xid_ when the XID is assigned
 
-  bool DeleterVisible(Xid xmax) const {
-    if (xmax == kInvalidXid) return false;
-    if (!historical() && xmax == my_xid_) return true;
-    if (clog_->GetState(xmax) != TxnState::kCommitted) return false;
-    return clog_->GetCommitTime(xmax) <= Horizon();
+  /// Whether `xid`'s writes are in this snapshot: its own (current
+  /// snapshots only), or committed no later than the horizon.
+  bool WriterVisible(Xid xid) const {
+    if (xid == kInvalidXid) return false;
+    if (!historical() && xid == my_xid_) return true;
+    XidStatus st = clog_->Resolve(xid);
+    return st.state == TxnState::kCommitted && st.commit_time <= Horizon();
   }
 
   const CommitLog* clog_ = nullptr;

@@ -42,17 +42,44 @@ Status TxnManager::OpenXidFile(const std::string& path) {
 
 Xid TxnManager::AllocateXidLocked() {
   Xid xid = next_xid_++;
-  if (xid_fd_ >= 0) {
+  if (xid_fd_ >= 0 && xid >= xid_ceiling_) {
+    // Reserve the next range: one pwrite per kXidCrashSlack XIDs, no
+    // fsync. Every XID handed out is below the newest ceiling; should the
+    // write be lost, the previous ceiling plus the slack added at open is
+    // this one, so a restart still lands past every XID handed out.
+    xid_ceiling_ = xid + kXidCrashSlack;
     uint8_t buf[4];
-    EncodeFixed32(buf, next_xid_);
-    // Best effort, no fsync: the slack added at open covers lost writes.
+    EncodeFixed32(buf, xid_ceiling_);
     ssize_t n = ::pwrite(xid_fd_, buf, sizeof(buf), 0);
     (void)n;
   }
   return xid;
 }
 
-Transaction* TxnManager::Track(std::unique_ptr<Transaction> txn) {
+Xid Transaction::AssignXid() {
+  if (xid_ == kInvalidXid) manager_->AssignXid(this);
+  return xid_;
+}
+
+void TxnManager::AssignXid(Transaction* txn) {
+  Xid xid;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    xid = AllocateXidLocked();
+  }
+  // In progress in the commit log before any tuple carries the XID: a
+  // concurrent updater that meets our xmax must see a live deleter, not an
+  // unknown (= aborted) one it may overwrite.
+  clog_->RecordBegin(xid);
+  txn->xid_ = xid;
+  txn->snapshot_.my_xid_ = xid;
+  if (txn->xid_cell_ != nullptr) {
+    txn->xid_cell_->store(xid, std::memory_order_relaxed);
+  }
+}
+
+Transaction* TxnManager::Track(const Snapshot& snapshot) {
+  std::unique_ptr<Transaction> txn(new Transaction(this, snapshot));
   Transaction* raw = txn.get();
   std::lock_guard<std::mutex> lock(mu_);
   active_[raw] = std::move(txn);
@@ -68,29 +95,17 @@ bool TxnManager::IsActive(Transaction* txn) const {
 }
 
 Transaction* TxnManager::Begin() {
-  Xid xid;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    xid = AllocateXidLocked();
-  }
-  clog_->RecordBegin(xid);
-  if (events_ != nullptr) events_->Append(EventType::kTxnBegin, "", xid);
-  Snapshot snap(clog_, xid, clog_->Now());
-  return Track(std::unique_ptr<Transaction>(new Transaction(xid, snap)));
+  // No XID yet (a=0): the first write assigns one, and txn.commit /
+  // txn.abort report it.
+  if (events_ != nullptr) events_->Append(EventType::kTxnBegin, "", 0);
+  return Track(Snapshot(clog_, kInvalidXid, clog_->Now()));
 }
 
 Transaction* TxnManager::BeginAsOf(CommitTime as_of) {
-  Xid xid;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    xid = AllocateXidLocked();
-  }
-  clog_->RecordBegin(xid);
   if (events_ != nullptr) {
-    events_->Append(EventType::kTxnBegin, "as-of", xid, as_of);
+    events_->Append(EventType::kTxnBegin, "as-of", 0, as_of);
   }
-  Snapshot snap(clog_, xid, clog_->Now(), as_of);
-  return Track(std::unique_ptr<Transaction>(new Transaction(xid, snap)));
+  return Track(Snapshot(clog_, kInvalidXid, clog_->Now(), as_of));
 }
 
 void TxnManager::Finish(Transaction* txn, bool committed) {
@@ -116,6 +131,17 @@ Result<CommitTime> TxnManager::Commit(Transaction* txn) {
   PGLO_CHECK(txn != nullptr);
   if (!IsActive(txn)) {
     return Status::InvalidArgument("transaction already finished");
+  }
+  if (txn->xid() == kInvalidXid) {
+    // Nothing written: nothing to force, nothing to record. The snapshot
+    // was all the transaction had, so it "commits" at the current tick.
+    CommitTime now = clog_->Now();
+    if (events_ != nullptr) {
+      events_->Append(EventType::kTxnCommit, "read-only", 0, now);
+    }
+    txn->state_ = TxnState::kCommitted;
+    Finish(txn, /*committed=*/true);
+    return now;
   }
   return group_commit_ ? CommitGrouped(txn) : CommitSingle(txn);
 }
@@ -210,7 +236,11 @@ Status TxnManager::Abort(Transaction* txn) {
   if (!IsActive(txn)) {
     return Status::InvalidArgument("transaction already finished");
   }
-  PGLO_RETURN_IF_ERROR(clog_->RecordAbort(txn->xid()));
+  // Without an XID no tuple carries the transaction, and no record is
+  // needed to say so.
+  if (txn->xid() != kInvalidXid) {
+    PGLO_RETURN_IF_ERROR(clog_->RecordAbort(txn->xid()));
+  }
   if (events_ != nullptr) events_->Append(EventType::kTxnAbort, "", txn->xid());
   txn->state_ = TxnState::kAborted;
   Finish(txn, /*committed=*/false);

@@ -29,12 +29,18 @@ namespace pglo {
 /// log reports as aborted, so the flushed-but-uncommitted versions are
 /// invisible: atomicity without undo.
 ///
+/// Only a transaction that wrote pays for that protocol. XIDs are assigned
+/// lazily, at the first write (Transaction::AssignXid); a transaction that
+/// ends without one has nothing to force and nothing to record, so its
+/// Commit and Abort touch neither the pool, the commit log, nor the commit
+/// serializer.
+///
 /// Thread-safe: backends (Sessions) begin, commit, and abort concurrently.
-/// Commits serialize — the force policy flushes the whole pool, so there
-/// is nothing to overlap — either behind a plain mutex (default, preserving
-/// the single-stream sequence exactly) or through the group-commit queue
-/// (SetGroupCommit), where one leader flushes once and appends every
-/// waiting committer's record in a single pwrite + fdatasync.
+/// Writing commits serialize — the force policy flushes the whole pool, so
+/// there is nothing to overlap — either behind a plain mutex (default,
+/// preserving the single-stream sequence exactly) or through the
+/// group-commit queue (SetGroupCommit), where one leader flushes once and
+/// appends every waiting committer's record in a single pwrite + fdatasync.
 class TxnManager {
  public:
   TxnManager(CommitLog* clog, BufferPool* pool)
@@ -50,11 +56,13 @@ class TxnManager {
     if (max >= next_xid_) next_xid_ = max + 1;
   }
 
-  /// Persists the XID high-water mark to `path` (written without fsync on
-  /// every Begin; a slack is added at open). Without this, an XID handed
-  /// to a transaction that crashed before writing any commit-log record
-  /// could be reissued — and the crashed transaction's tuples would look
-  /// like the new transaction's own writes.
+  /// Persists the XID high-water mark to `path`, reserved in ranges: the
+  /// file holds a ceiling every assigned XID is below, rewritten (without
+  /// fsync) only when assignment reaches it, and a slack is added at open.
+  /// Without this, an XID handed to a transaction that crashed before
+  /// writing any commit-log record could be reissued — and the crashed
+  /// transaction's tuples would look like the new transaction's own
+  /// writes. DESIGN.md §11 gives the crash argument.
   Status OpenXidFile(const std::string& path);
 
   /// Enables group commit (DESIGN.md §13). Configuration-time only; off by
@@ -62,7 +70,8 @@ class TxnManager {
   void SetGroupCommit(bool enabled) { group_commit_ = enabled; }
   bool group_commit() const { return group_commit_; }
 
-  /// Starts a read-write transaction with a "current" snapshot.
+  /// Starts a read-write transaction with a "current" snapshot and no XID
+  /// (the first write assigns one).
   Transaction* Begin();
 
   /// Starts a read-only time-travel transaction whose reads observe the
@@ -71,12 +80,14 @@ class TxnManager {
 
   /// Commits: forces dirty pages, then durably records the commit.
   /// Returns the transaction's commit time and destroys the Transaction on
-  /// success. A pointer that is not an in-progress transaction of this
-  /// manager (double commit, use after commit) is rejected without being
-  /// dereferenced.
+  /// success. A transaction that never wrote (no XID) skips both steps and
+  /// returns Now(). A pointer that is not an in-progress transaction of
+  /// this manager (double commit, use after commit) is rejected without
+  /// being dereferenced.
   Result<CommitTime> Commit(Transaction* txn);
 
-  /// Aborts: records the abort; data pages are untouched.
+  /// Aborts: records the abort (nothing, for a transaction without an
+  /// XID); data pages are untouched.
   Status Abort(Transaction* txn);
 
   /// The latest commit tick — the "now" that time-travel queries address.
@@ -125,11 +136,14 @@ class TxnManager {
     Result<CommitTime> result{Status::Internal("commit pending")};
   };
 
-  Transaction* Track(std::unique_ptr<Transaction> txn);
+  friend class Transaction;  // AssignXid
+
+  Transaction* Track(const Snapshot& snapshot);
   /// Runs finish callbacks and destroys the transaction. Must NOT be
   /// called with mu_ held (callbacks reach into other subsystems).
   void Finish(Transaction* txn, bool committed);
   Xid AllocateXidLocked();
+  void AssignXid(Transaction* txn);
   bool IsActive(Transaction* txn) const;
   /// The force-at-commit steps: pool flush + registered hooks.
   Status ForceAll();
@@ -140,6 +154,9 @@ class TxnManager {
   BufferPool* pool_;
   mutable std::mutex mu_;  ///< next_xid_, xid file, active_
   Xid next_xid_ = kFirstNormalXid;
+  /// Every XID assigned is below this; 0 until the first assignment
+  /// reserves a range in the xid file.
+  Xid xid_ceiling_ = 0;
   int xid_fd_ = -1;
   std::unordered_map<Transaction*, std::unique_ptr<Transaction>> active_;
   std::vector<std::function<Status()>> force_hooks_;

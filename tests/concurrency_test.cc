@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -545,9 +546,15 @@ TEST_F(ConcurrencyTest, ActivityViewTracksSessionsAndTxnState) {
   EXPECT_EQ(rows[0].backend_id, a->backend_id());
   EXPECT_EQ(rows[1].backend_id, b->backend_id());
   EXPECT_TRUE(rows[0].in_txn);
-  EXPECT_GT(rows[0].xid, 0u);
+  EXPECT_EQ(rows[0].xid, 0u);  // no XID before the first write
   EXPECT_EQ(rows[0].begun, 1u);
   EXPECT_FALSE(rows[1].in_txn);
+  // The first write assigns the XID and publishes it to the row.
+  ASSERT_OK(a->CreateLo(LoSpec{}).status());
+  rows = db.activity().Snapshot();
+  EXPECT_TRUE(rows[0].in_txn);
+  EXPECT_GT(rows[0].xid, 0u);
+  EXPECT_EQ(rows[0].xid, a->txn()->xid());
   ASSERT_OK(a->Commit().status());
 
   rows = db.activity().Snapshot();
@@ -560,6 +567,38 @@ TEST_F(ConcurrencyTest, ActivityViewTracksSessionsAndTxnState) {
   EXPECT_EQ(db.activity().live_count(), 1u);
   auto c = db.Connect();
   EXPECT_EQ(db.activity().live_count(), 2u);
+  ASSERT_OK(db.Close());
+}
+
+TEST_F(ConcurrencyTest, SessionsUpdatingOneTupleConflictAtFirstWrite) {
+  // Both sessions begin before either writes, so each overwrite of the
+  // object's first chunk — an update of one tuple — is that session's
+  // first write. First updater wins.
+  Database db;
+  ASSERT_OK(db.Open(Options()));
+  std::vector<Oid> oids = CreateObjects(&db, 1);
+  auto a = db.Connect();
+  auto b = db.Connect();
+  a->Begin();
+  b->Begin();
+  ASSERT_OK_AND_ASSIGN(LoDescriptor * fa, a->OpenLo(oids[0], true));
+  ASSERT_OK_AND_ASSIGN(LoDescriptor * fb, b->OpenLo(oids[0], true));
+  EXPECT_EQ(a->txn()->xid(), kInvalidXid);
+  EXPECT_EQ(b->txn()->xid(), kInvalidXid);
+  ASSERT_OK(fa->Write(Slice(Bytes(100, 0xaa))));
+  EXPECT_NE(a->txn()->xid(), kInvalidXid);
+  Status lost = fb->Write(Slice(Bytes(100, 0xbb)));
+  EXPECT_TRUE(lost.IsAborted()) << lost.ToString();
+  ASSERT_OK(b->Abort());
+  ASSERT_OK(a->Commit().status());
+
+  a->Begin();
+  ASSERT_OK_AND_ASSIGN(LoDescriptor * fd, a->OpenLo(oids[0], false));
+  ASSERT_OK_AND_ASSIGN(Bytes got, fd->Read(kObjectBytes));
+  Bytes want(kObjectBytes, PatternByte(0, 0));
+  std::fill(want.begin(), want.begin() + 100, 0xaa);
+  EXPECT_EQ(got, want);
+  ASSERT_OK(a->Abort());
   ASSERT_OK(db.Close());
 }
 

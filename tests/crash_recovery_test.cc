@@ -289,7 +289,6 @@ TEST(AsyncCommitRegressionTest, UnsyncedCommitVanishesAtCrash) {
     Database db;
     ASSERT_OK(db.Open(opts));
     Transaction* txn = db.Begin();
-    Xid xid = txn->xid();
     LoSpec spec;
     spec.kind = StorageKind::kFChunk;
     spec.smgr = kSmgrDisk;
@@ -299,6 +298,9 @@ TEST(AsyncCommitRegressionTest, UnsyncedCommitVanishesAtCrash) {
     Bytes data(4096, 0x11);
     ASSERT_OK(lo->Write(txn, 0, Slice(data)));
     lo.reset();
+    // Assigned at the first write (the catalog insert in Create).
+    Xid xid = txn->xid();
+    ASSERT_NE(xid, kInvalidXid);
     ASSERT_OK(db.Commit(txn).status());  // reports success either way
     ASSERT_OK(db.SimulateCrashAndReopen());
     // Read the log state before beginning another transaction, so a

@@ -2,11 +2,14 @@
 
 #include "common/random.h"
 #include "db/database.h"
+#include "tests/durability_probe.h"
 #include "tests/test_util.h"
 
 namespace pglo {
 namespace {
 
+using pglo::testing::DurabilityProbe;
+using pglo::testing::ExpectNoDurabilityWork;
 using pglo::testing::TempDir;
 
 class DatabaseTest : public ::testing::Test {
@@ -43,6 +46,91 @@ TEST_F(DatabaseTest, OpenCloseReopen) {
   ASSERT_OK_AND_ASSIGN(Bytes data, fd->Read(64));
   EXPECT_EQ(Slice(data).ToString(), "survives restart");
   ASSERT_OK(session->Abort());
+}
+
+TEST_F(DatabaseTest, ReadOnlyTransactionsDoNoDurabilityWork) {
+  Database db;
+  ASSERT_OK(db.Open(Options()));
+  auto writer = db.Connect();
+  auto reader = db.Connect();
+  Bytes image(32 * 1024, 0x5a);
+  writer->Begin();
+  ASSERT_OK_AND_ASSIGN(Oid oid, writer->CreateLo(LoSpec{}));
+  ASSERT_OK_AND_ASSIGN(LoDescriptor * wfd, writer->OpenLo(oid, true));
+  ASSERT_OK(wfd->Write(Slice(image)));
+  ASSERT_OK(writer->Commit().status());
+
+  // An in-flight writer leaves dirty pages in the pool, so a flush at the
+  // reader's end would show as write-backs.
+  writer->Begin();
+  ASSERT_OK_AND_ASSIGN(wfd, writer->OpenLo(oid, true));
+  ASSERT_OK(wfd->Write(Slice(Bytes(4096, 0x77))));
+  ASSERT_NE(writer->txn()->xid(), kInvalidXid);
+
+  for (bool commit : {true, false}) {
+    SCOPED_TRACE(commit ? "commit" : "abort");
+    DurabilityProbe before = DurabilityProbe::Take(db);
+    reader->Begin();
+    ASSERT_OK_AND_ASSIGN(LoDescriptor * rfd, reader->OpenLo(oid, false));
+    ASSERT_OK_AND_ASSIGN(Bytes got, rfd->Read(image.size()));
+    EXPECT_EQ(got, image);  // the writer's pending bytes stay invisible
+    EXPECT_EQ(reader->txn()->xid(), kInvalidXid);
+    if (commit) {
+      CommitTime now = db.Now();
+      ASSERT_OK_AND_ASSIGN(CommitTime t, reader->Commit());
+      EXPECT_EQ(t, now);
+    } else {
+      ASSERT_OK(reader->Abort());
+    }
+    ExpectNoDurabilityWork(before, DurabilityProbe::Take(db));
+  }
+
+  // The probe is not blind: the writer's commit shows every kind of work.
+  DurabilityProbe before = DurabilityProbe::Take(db);
+  ASSERT_OK(writer->Commit().status());
+  DurabilityProbe after = DurabilityProbe::Take(db);
+  EXPECT_GT(after.clog_fsyncs, before.clog_fsyncs);
+  EXPECT_GT(after.clog_bytes.size(), before.clog_bytes.size());
+  EXPECT_GT(after.writebacks, before.writebacks);
+  EXPECT_GT(after.data_syncs, before.data_syncs);
+  EXPECT_GT(after.commit_serializations, before.commit_serializations);
+  ASSERT_OK(db.Close());
+}
+
+TEST_F(DatabaseTest, UfileOnlyTransactionForcesTheUfsAtCommit) {
+  // u-file bytes bypass the heap: a transaction whose only write is to a
+  // u-file must still take an XID, so its commit runs the UFS force hook
+  // and the bytes survive a crash.
+  Database db;
+  ASSERT_OK(db.Open(Options()));
+  auto session = db.Connect();
+  LoSpec spec;
+  spec.kind = StorageKind::kUserFile;
+  spec.ufile_path = "/only_ufile";
+  session->Begin();
+  ASSERT_OK_AND_ASSIGN(Oid oid, session->CreateLo(spec));
+  ASSERT_OK(session->Commit().status());
+
+  Bytes image(20000, 0x3c);
+  session->Begin();
+  ASSERT_OK_AND_ASSIGN(LoDescriptor * fd, session->OpenLo(oid, true));
+  EXPECT_EQ(session->txn()->xid(), kInvalidXid);  // opening writes nothing
+  ASSERT_OK(fd->Write(Slice(image)));
+  EXPECT_NE(session->txn()->xid(), kInvalidXid);
+  DurabilityProbe before = DurabilityProbe::Take(db);
+  ASSERT_OK(session->Commit().status());
+  DurabilityProbe after = DurabilityProbe::Take(db);
+  EXPECT_GT(after.clog_fsyncs, before.clog_fsyncs);
+  EXPECT_GT(after.commit_serializations, before.commit_serializations);
+
+  ASSERT_OK(db.SimulateCrashAndReopen());
+  session = db.Connect();
+  session->Begin();
+  ASSERT_OK_AND_ASSIGN(fd, session->OpenLo(oid, false));
+  ASSERT_OK_AND_ASSIGN(Bytes got, fd->Read(image.size() + 1));
+  EXPECT_EQ(got, image);
+  ASSERT_OK(session->Abort());
+  ASSERT_OK(db.Close());
 }
 
 TEST_F(DatabaseTest, DoubleOpenRejected) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/random.h"
 #include "heap/heap_class.h"
 #include "smgr/mm_smgr.h"
@@ -202,6 +204,79 @@ TEST_F(HeapTest, WriteWriteConflictDetected) {
   EXPECT_TRUE(heap_->Delete(t3, tid).IsAborted());  // first updater wins
   Commit(t2);
   Abort(t3);
+}
+
+TEST_F(HeapTest, XidAssignedAtFirstWriteAndOwnWritesVisible) {
+  Transaction* t0 = Begin();
+  ASSERT_OK_AND_ASSIGN(Tid old_tid, heap_->Insert(t0, Slice("old")));
+  Commit(t0);
+
+  Transaction* txn = Begin();
+  // Reads assign nothing.
+  EXPECT_EQ(VisibleRows(txn), std::vector<std::string>{"old"});
+  ASSERT_OK(heap_->Get(txn, old_tid).status());
+  EXPECT_EQ(txn->xid(), kInvalidXid);
+  EXPECT_EQ(txn->snapshot().xid(), kInvalidXid);
+
+  ASSERT_OK_AND_ASSIGN(Tid tid, heap_->Insert(txn, Slice("mine")));
+  Xid xid = txn->xid();
+  ASSERT_NE(xid, kInvalidXid);
+  EXPECT_EQ(txn->snapshot().xid(), xid);
+  EXPECT_EQ(clog_.GetState(xid), TxnState::kInProgress);
+  ASSERT_OK_AND_ASSIGN(auto version, heap_->GetAnyVersion(tid));
+  EXPECT_EQ(version.first.xmin, xid);
+  ASSERT_OK_AND_ASSIGN(Bytes mine, heap_->Get(txn, tid));
+  EXPECT_EQ(Slice(mine).ToString(), "mine");
+  // Own delete hides the older row; later writes keep the same XID.
+  ASSERT_OK(heap_->Delete(txn, old_tid));
+  ASSERT_OK(heap_->InsertAppend(txn, Slice("appended")).status());
+  EXPECT_EQ(txn->xid(), xid);
+  auto rows = VisibleRows(txn);
+  std::sort(rows.begin(), rows.end());
+  EXPECT_EQ(rows, (std::vector<std::string>{"appended", "mine"}));
+  Commit(txn);
+  EXPECT_EQ(clog_.GetState(xid), TxnState::kCommitted);
+}
+
+TEST_F(HeapTest, DeleteOrAppendAsFirstWriteAssignsXid) {
+  Transaction* t0 = Begin();
+  ASSERT_OK_AND_ASSIGN(Tid tid, heap_->Insert(t0, Slice("doomed")));
+  Commit(t0);
+  Transaction* deleter = Begin();
+  ASSERT_OK(heap_->Delete(deleter, tid));
+  ASSERT_NE(deleter->xid(), kInvalidXid);
+  ASSERT_OK_AND_ASSIGN(auto version, heap_->GetAnyVersion(tid));
+  EXPECT_EQ(version.first.xmax, deleter->xid());
+  EXPECT_TRUE(VisibleRows(deleter).empty());
+  Commit(deleter);
+
+  Transaction* appender = Begin();
+  ASSERT_OK(heap_->InsertAppend(appender, Slice("tail")).status());
+  EXPECT_NE(appender->xid(), kInvalidXid);
+  EXPECT_EQ(VisibleRows(appender), std::vector<std::string>{"tail"});
+  Abort(appender);
+}
+
+TEST_F(HeapTest, UpdateAsFirstWriteStillConflicts) {
+  // Both updaters begin before either writes, so neither has an XID when
+  // it reaches the tuple; the first one's XID must be in the commit log
+  // (in progress) by the time the second meets its xmax.
+  Transaction* t0 = Begin();
+  ASSERT_OK_AND_ASSIGN(Tid tid, heap_->Insert(t0, Slice("v0")));
+  Commit(t0);
+  Transaction* first = Begin();
+  Transaction* second = Begin();
+  ASSERT_OK(heap_->Update(first, tid, Slice("first")).status());
+  ASSERT_NE(first->xid(), kInvalidXid);
+  EXPECT_TRUE(heap_->Update(second, tid, Slice("second")).status().IsAborted());
+  Commit(first);
+  // The loser committed nothing; still a conflict after the winner
+  // commits (its delete is newer than the loser's snapshot).
+  EXPECT_TRUE(heap_->Update(second, tid, Slice("second")).status().IsAborted());
+  Abort(second);
+  Transaction* check = Begin();
+  EXPECT_EQ(VisibleRows(check), std::vector<std::string>{"first"});
+  Abort(check);
 }
 
 TEST_F(HeapTest, ScanSpansManyPages) {

@@ -24,11 +24,14 @@
 #include "server/net.h"
 #include "server/server.h"
 #include "server/wire.h"
+#include "tests/durability_probe.h"
 #include "tests/test_util.h"
 
 namespace pglo {
 namespace {
 
+using pglo::testing::DurabilityProbe;
+using pglo::testing::ExpectNoDurabilityWork;
 using pglo::testing::TempDir;
 using pglo::testing::TestSeed;
 
@@ -375,6 +378,53 @@ TEST_F(ServerTest, RemoteBackendsAppearInTheActivityTable) {
   }
   clients.clear();
   EXPECT_TRUE(WaitUntil([&] { return db_.activity().live_count() == 0; }));
+}
+
+TEST_F(ServerTest, ReadOnlyTransactionsDoNoDurabilityWorkOverTheWire) {
+  StartServer();
+  ASSERT_OK_AND_ASSIGN(auto client, Connect("reader"));
+  ASSERT_OK(client->Begin());
+  ASSERT_OK_AND_ASSIGN(uint64_t oid, client->CreateLo());
+  ASSERT_OK_AND_ASSIGN(uint32_t h, client->OpenLo(oid, /*writable=*/true));
+  ASSERT_OK(client->Write(h, Slice("read me")));
+  ASSERT_OK(client->Commit().status());
+
+  auto my_row = [&]() -> BackendActivityRow {
+    for (const auto& row : db_.activity().Snapshot()) {
+      if (row.backend_id == client->backend_id()) return row;
+    }
+    ADD_FAILURE() << "backend missing from the activity table";
+    return {};
+  };
+  for (bool commit : {true, false}) {
+    SCOPED_TRACE(commit ? "commit" : "abort");
+    DurabilityProbe before = DurabilityProbe::Take(db_);
+    ASSERT_OK(client->Begin());
+    ASSERT_OK_AND_ASSIGN(h, client->OpenLo(oid, /*writable=*/false));
+    ASSERT_OK_AND_ASSIGN(Bytes got, client->Read(h, 64));
+    EXPECT_EQ(Slice(got).ToString(), "read me");
+    BackendActivityRow row = my_row();
+    EXPECT_TRUE(row.in_txn);
+    EXPECT_EQ(row.xid, 0u);  // like pg_stat_activity.backend_xid
+    if (commit) {
+      CommitTime now = db_.Now();
+      ASSERT_OK_AND_ASSIGN(uint64_t tick, client->Commit());
+      EXPECT_EQ(tick, now);
+    } else {
+      ASSERT_OK(client->Abort());
+    }
+    ExpectNoDurabilityWork(before, DurabilityProbe::Take(db_));
+  }
+
+  // The first write publishes the XID to the backend's row.
+  ASSERT_OK(client->Begin());
+  ASSERT_OK_AND_ASSIGN(h, client->OpenLo(oid, /*writable=*/true));
+  EXPECT_EQ(my_row().xid, 0u);
+  ASSERT_OK(client->Write(h, Slice("!")));
+  EXPECT_GT(my_row().xid, 0u);
+  ASSERT_OK(client->Abort());
+  EXPECT_EQ(my_row().xid, 0u);
+  ASSERT_OK(client->Bye());
 }
 
 TEST_F(ServerTest, CleanShutdownWithInFlightSessions) {
