@@ -159,7 +159,7 @@ int MeasurePass(ConfigState* state, uint64_t pass) {
 
 int Main(int argc, char** argv) {
   // Extract the gate flag before handing argv to the shared harness
-  // parser (which would warn about flags it does not know).
+  // parser (which rejects flags it does not know).
   double gate_overhead_pct = -1.0;
   int kept = 1;
   for (int i = 1; i < argc; ++i) {
@@ -171,7 +171,8 @@ int Main(int argc, char** argv) {
   }
   argc = kept;
   BenchArgs args = ParseBenchArgs(argc, argv, "ablation_obs",
-                                  "/tmp/pglo_bench_ablF");
+                                  "/tmp/pglo_bench_ablF",
+                                  "[--gate-overhead-pct=P] ");
   const std::string& workdir = args.workdir;
   int rc = std::system(("rm -rf '" + workdir + "'").c_str());
   (void)rc;

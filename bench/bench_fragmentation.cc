@@ -365,8 +365,8 @@ int RunConfig(const char* label, StorageKind kind, BenchRun& run,
 }
 
 int Main(int argc, char** argv) {
-  // Peel off the gate flags before the shared parser sees them (it warns
-  // on flags it does not know).
+  // Peel off the gate flags before the shared parser sees them (it rejects
+  // flags it does not know).
   GateSpec gate;
   std::vector<char*> passthrough;
   passthrough.push_back(argv[0]);
@@ -383,7 +383,8 @@ int Main(int argc, char** argv) {
   BenchArgs args =
       ParseBenchArgs(static_cast<int>(passthrough.size()),
                      passthrough.data(), "fragmentation",
-                     "/tmp/pglo_bench_frag");
+                     "/tmp/pglo_bench_frag",
+                     "[--gate-degradation-pct=P] [--gate-restore-pct=P] ");
   int rc = std::system(("rm -rf '" + args.workdir + "'").c_str());
   (void)rc;
   const FragScale fs = FragScaleFor(args.quick);

@@ -282,7 +282,7 @@ int main(int argc, char** argv) {
   }
   pglo::bench::BenchArgs args = pglo::bench::ParseBenchArgs(
       static_cast<int>(harness_argv.size()), harness_argv.data(), "micro",
-      "/tmp/pglo_bench_micro");
+      "/tmp/pglo_bench_micro", "[--benchmark_...] ");
   static char min_time[] = "--benchmark_min_time=0.05";
   if (args.quick) bench_argv.push_back(min_time);
 

@@ -19,7 +19,7 @@
 //     becomes visible as a p99 cliff.
 //   - Mix: 70% point reads (seek to a random offset in the object, read
 //     4 KB), 30% appends (seek end, write 512 B, commit through the
-//     group-commit path). Read transactions ABORT (no commit-log force);
+//     group-commit queue). Read transactions ABORT (no commit-log force);
 //     appends COMMIT.
 //
 // Wall-clock latencies are machine-dependent, so — like
@@ -249,7 +249,6 @@ int Main(int argc, char** argv) {
   options.dir = workdir + "/db";
   options.buffer_pool_frames = 4096;
   options.charge_devices = false;  // wall-clock bench: no 1992 device sim
-  options.group_commit = true;     // appends commit through the batch path
   options.enable_stats = true;
   options.enable_flight_recorder = false;
   Database db;

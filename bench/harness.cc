@@ -1,6 +1,7 @@
 #include "bench/harness.h"
 
 #include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <string_view>
 
@@ -176,7 +177,18 @@ uint64_t SumMatching(const StatsSnapshot& snap, std::string_view prefix,
 }  // namespace
 
 BenchArgs ParseBenchArgs(int argc, char** argv, const std::string& bench_name,
-                         const std::string& default_workdir) {
+                         const std::string& default_workdir,
+                         const char* extra_usage) {
+  auto usage = [&](std::FILE* out) {
+    std::fprintf(out,
+                 "usage: %s [--quick] [--no-stats] [--profile] "
+                 "[--trace=FILE]\n"
+                 "           [--json=FILE | --no-json] [--readahead=N] "
+                 "%s[workdir]\n"
+                 "Writes BENCH_%s[_quick].json unless --json or --no-json "
+                 "says otherwise.\n",
+                 argv[0], extra_usage, bench_name.c_str());
+  };
   BenchArgs args;
   args.bench_name = bench_name;
   args.workdir = default_workdir;
@@ -197,8 +209,13 @@ BenchArgs ParseBenchArgs(int argc, char** argv, const std::string& bench_name,
       args.json_path = arg.substr(7);
     } else if (arg.rfind("--readahead=", 0) == 0) {
       args.readahead = std::atoi(arg.c_str() + 12);
+    } else if (arg == "--help" || arg == "-h") {
+      usage(stdout);
+      std::exit(0);
     } else if (arg.rfind("--", 0) == 0) {
-      std::fprintf(stderr, "unknown flag %s (ignored)\n", arg.c_str());
+      std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
+      usage(stderr);
+      std::exit(2);
     } else {
       args.workdir = arg;
     }

@@ -107,9 +107,12 @@ std::string FormatStatsTable(const std::string& title,
                              const std::vector<std::string>& columns,
                              const std::vector<StatsSnapshot>& snapshots);
 
-/// Shared flag handling for the figure benches:
+/// Shared flag handling for the benches:
 ///   [--no-stats] [--quick] [--profile] [--trace=FILE] [--json=FILE]
 ///   [--no-json] [--readahead=N] [workdir]
+/// `--help` prints the usage and exits 0; an unknown `--flag` prints it and
+/// exits 2. Either way nothing runs and no JSON is written. A bench that
+/// peels off flags of its own names them in `extra_usage`.
 struct BenchArgs {
   std::string bench_name;  ///< e.g. "figure1"; names the default JSON file
   std::string workdir;
@@ -124,7 +127,8 @@ struct BenchArgs {
   std::string json_path;   ///< machine-readable results; empty = off
 };
 BenchArgs ParseBenchArgs(int argc, char** argv, const std::string& bench_name,
-                         const std::string& default_workdir);
+                         const std::string& default_workdir,
+                         const char* extra_usage = "");
 
 /// Config metadata for BenchRun::StartConfig, derived from a BenchConfig.
 std::map<std::string, std::string> ConfigInfo(const BenchConfig& config);

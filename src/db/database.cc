@@ -245,7 +245,6 @@ Status Database::OpenBody(bool after_crash) {
   clog_->BindWaits(waits_.get());
   PGLO_RETURN_IF_ERROR(clog_->Open(options_.dir + "/clog"));
   txns_ = std::make_unique<TxnManager>(clog_.get(), pool_.get());
-  txns_->SetGroupCommit(options_.group_commit);
   txns_->BindEventLog(events);
   txns_->BindWaits(waits_.get());
   txns_->RestoreNextXid();

@@ -95,10 +95,8 @@ struct DatabaseOptions {
   /// (only meaningful with a fault injector installed).
   bool synchronous_commit = true;
 
-  /// Group commit (DESIGN.md §13): concurrent committers batch behind one
-  /// leader — one buffer-pool flush and one commit-log append + fdatasync
-  /// commit the whole group. Off by default; single-session runs with it
-  /// off reproduce the historical commit sequence bit-identically.
+  /// Ignored: every writing commit goes through the group-commit queue
+  /// (DESIGN.md §13). Goes once the benchmark stops setting it.
   bool group_commit = false;
 
   /// Transient-I/O retry policy applied in the buffer pool and the UFS

@@ -26,8 +26,6 @@ const char* WaitEventName(WaitEvent e) {
       return "clog.mutex";
     case WaitEvent::kClogFsync:
       return "clog.fsync";
-    case WaitEvent::kTxnCommitSerialize:
-      return "txn.commit_serialize";
     case WaitEvent::kGroupCommitFollower:
       return "clog.group_commit.follower";
     case WaitEvent::kGroupCommitGather:

@@ -42,7 +42,6 @@ enum class WaitEvent : uint8_t {
   kBufPoolDataSync,      ///< bufpool.data_sync — commit-time syncfs(2)
   kClogMutex,            ///< clog.mutex — commit-log record/visibility mutex
   kClogFsync,            ///< clog.fsync — commit-log fdatasync (incl. piggyback)
-  kTxnCommitSerialize,   ///< txn.commit_serialize — single-commit serializer
   kGroupCommitFollower,  ///< clog.group_commit.follower — waiting on a leader
   kGroupCommitGather,    ///< clog.group_commit.gather — leader's refill wait
   kIoRetryBackoff,       ///< io.retry.backoff — simulated transient-IO backoff

@@ -138,13 +138,6 @@ Status CommitLog::AppendEncodedLocked(const uint8_t* buf, size_t nbytes,
   return Status::OK();
 }
 
-Status CommitLog::AppendRecordLocked(Xid xid, TxnState state, CommitTime time,
-                                     uint64_t* end_out) {
-  uint8_t rec[kRecordSize];
-  EncodeRecord(rec, xid, state, time);
-  return AppendEncodedLocked(rec, kRecordSize, end_out);
-}
-
 Status CommitLog::SyncTo(uint64_t target) {
   if (!synchronous_) return Status::OK();
   WaitLockGuard sync_lock(sync_mu_, wp_fsync_);
@@ -172,26 +165,7 @@ Status CommitLog::SyncTo(uint64_t target) {
   return Status::OK();
 }
 
-Result<CommitTime> CommitLog::RecordCommit(Xid xid) {
-  CommitTime time;
-  uint64_t end = 0;
-  {
-    WaitLockGuard lock(mu_, wp_mutex_);
-    time = next_commit_time_;
-    PGLO_RETURN_IF_ERROR(
-        AppendRecordLocked(xid, TxnState::kCommitted, time, &end));
-    entries_[xid] = XidStatus{TxnState::kCommitted, time};
-    next_commit_time_ = time + 1;
-    if (xid > max_xid_) max_xid_ = xid;
-  }
-  // Durability outside mu_: other backends keep resolving visibility while
-  // this commit's fdatasync is in flight.
-  PGLO_RETURN_IF_ERROR(SyncTo(end));
-  return time;
-}
-
-Result<CommitTime> CommitLog::RecordCommitBatch(
-    const std::vector<Xid>& xids, std::vector<CommitTime>* times_out) {
+Result<CommitTime> CommitLog::RecordCommit(const std::vector<Xid>& xids) {
   if (xids.empty()) return Status::InvalidArgument("empty commit batch");
   CommitTime first;
   uint64_t end = 0;
@@ -204,33 +178,28 @@ Result<CommitTime> CommitLog::RecordCommitBatch(
                    TxnState::kCommitted, first + i);
     }
     PGLO_RETURN_IF_ERROR(AppendEncodedLocked(buf.data(), buf.size(), &end));
-    times_out->clear();
-    times_out->reserve(xids.size());
     for (size_t i = 0; i < xids.size(); ++i) {
-      CommitTime time = first + i;
-      entries_[xids[i]] = XidStatus{TxnState::kCommitted, time};
+      entries_[xids[i]] = XidStatus{TxnState::kCommitted, first + i};
       if (xids[i] > max_xid_) max_xid_ = xids[i];
-      times_out->push_back(time);
     }
     next_commit_time_ = first + xids.size();
   }
+  // Durability outside mu_: other backends keep resolving visibility while
+  // this commit's fdatasync is in flight.
   PGLO_RETURN_IF_ERROR(SyncTo(end));
   return first;
 }
 
 Status CommitLog::RecordAbort(Xid xid) {
+  uint8_t rec[kRecordSize];
+  EncodeRecord(rec, xid, TxnState::kAborted, kInvalidCommitTime);
   uint64_t end = 0;
-  {
-    WaitLockGuard lock(mu_, wp_mutex_);
-    PGLO_RETURN_IF_ERROR(
-        AppendRecordLocked(xid, TxnState::kAborted, kInvalidCommitTime, &end));
-    entries_[xid] = XidStatus{TxnState::kAborted, kInvalidCommitTime};
-    if (xid > max_xid_) max_xid_ = xid;
-  }
-  // An abort lost to a crash is still an abort (no record == aborted), but
-  // syncing keeps the injector's durable/volatile bookkeeping exact; under
-  // concurrency it piggybacks on commit syncs instead of paying its own.
-  PGLO_RETURN_IF_ERROR(SyncTo(end));
+  WaitLockGuard lock(mu_, wp_mutex_);
+  PGLO_RETURN_IF_ERROR(AppendEncodedLocked(rec, kRecordSize, &end));
+  entries_[xid] = XidStatus{TxnState::kAborted, kInvalidCommitTime};
+  if (xid > max_xid_) max_xid_ = xid;
+  // No SyncTo: an abort lost to a crash is still an abort (no record ==
+  // aborted), and a record torn mid-append fails its CRC at replay.
   return Status::OK();
 }
 

@@ -46,8 +46,9 @@ struct XidStatus {
 ///     durable, but RecordCommit does not RETURN until it is durable, and
 ///     any reader that goes on to commit appends after it — so the reader's
 ///     own sync covers it and no durable state can depend on a lost commit;
-///   - single-stream behaviour is unchanged: with no concurrent syncs the
-///     piggyback check never fires and every record syncs itself, 1:1.
+///   - in a single stream the piggyback check never fires: every commit
+///     append syncs itself, 1:1, and abort appends never sync (the next
+///     commit's fdatasync covers them).
 class CommitLog {
  public:
   CommitLog() = default;
@@ -59,18 +60,16 @@ class CommitLog {
   Status Open(const std::string& path);
   Status Close();
 
-  /// Durably records `xid` as committed at the next commit-time tick, which
-  /// is returned. The caller must have forced the transaction's pages first.
-  Result<CommitTime> RecordCommit(Xid xid);
+  /// Durably records every xid as committed in one append — N records, one
+  /// pwrite, one fdatasync — at consecutive commit-time ticks, and returns
+  /// the first: xids[i] commits at the returned tick + i. The caller must
+  /// have forced every member's pages first. A batch torn by a crash keeps
+  /// a prefix of whole records, which replay reads as a committed prefix.
+  Result<CommitTime> RecordCommit(const std::vector<Xid>& xids);
 
-  /// Group commit (DESIGN.md §13): durably records every xid in one append
-  /// — N records, one pwrite, one fdatasync — at consecutive commit-time
-  /// ticks. Fills `times_out` (parallel to `xids`) and returns the first
-  /// tick. The caller must have forced every member's pages first.
-  Result<CommitTime> RecordCommitBatch(const std::vector<Xid>& xids,
-                                       std::vector<CommitTime>* times_out);
-
-  /// Durably records `xid` as aborted.
+  /// Records `xid` as aborted, without forcing the record: a lost or torn
+  /// abort record reads as aborted anyway, and the next commit's fdatasync
+  /// covers the file.
   Status RecordAbort(Xid xid);
 
   /// Notes `xid` as in progress (memory only — a crash forgets it, which
@@ -136,8 +135,6 @@ class CommitLog {
   /// append, the durability target to pass to SyncTo.
   Status AppendEncodedLocked(const uint8_t* buf, size_t nbytes,
                              uint64_t* end_out);
-  Status AppendRecordLocked(Xid xid, TxnState state, CommitTime time,
-                            uint64_t* end_out);
 
   /// Makes the log durable through byte `target`, without holding mu_.
   /// Skips the fdatasync when a concurrent caller's sync already covered

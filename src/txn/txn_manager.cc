@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -16,7 +17,7 @@ namespace {
 constexpr Xid kXidCrashSlack = 1024;
 
 /// Upper bound on the group-commit leader's gather wait. The ratchet in
-/// CommitGrouped normally exits long before this; the cap only bites when
+/// Commit normally exits long before this; the cap only bites when
 /// the committer population just shrank (end of a workload pass).
 constexpr auto kGroupCommitGatherCap = std::chrono::microseconds(1000);
 }  // namespace
@@ -143,22 +144,6 @@ Result<CommitTime> TxnManager::Commit(Transaction* txn) {
     Finish(txn, /*committed=*/true);
     return now;
   }
-  return group_commit_ ? CommitGrouped(txn) : CommitSingle(txn);
-}
-
-Result<CommitTime> TxnManager::CommitSingle(Transaction* txn) {
-  WaitLockGuard commit_lock(commit_mu_, wp_commit_serialize_);
-  PGLO_RETURN_IF_ERROR(ForceAll());
-  PGLO_ASSIGN_OR_RETURN(CommitTime time, clog_->RecordCommit(txn->xid()));
-  if (events_ != nullptr) {
-    events_->Append(EventType::kTxnCommit, "", txn->xid(), time);
-  }
-  txn->state_ = TxnState::kCommitted;
-  Finish(txn, /*committed=*/true);
-  return time;
-}
-
-Result<CommitTime> TxnManager::CommitGrouped(Transaction* txn) {
   PendingCommit req{txn};
   std::unique_lock<std::mutex> lk(gc_mu_);
   gc_queue_.push_back(&req);
@@ -179,8 +164,8 @@ Result<CommitTime> TxnManager::CommitGrouped(Transaction* txn) {
   // their (serialized) CPU work when the leader starts the sync path.
   // Wait — bounded — for the queue to reach the previous batch's size.
   // The ratchet self-tunes to the live committer count: an uncontended
-  // stream has gc_last_batch_ <= 1 and never waits, so single-session
-  // commit latency is unchanged; when the population shrinks, one capped
+  // stream has gc_last_batch_ <= 1 and never waits, so a single session
+  // commits as soon as it arrives; when the population shrinks, one capped
   // wait re-learns the smaller batch.
   if (gc_last_batch_ > 1 && gc_queue_.size() < gc_last_batch_) {
     WaitGuard wait(wp_gc_gather_);
@@ -191,35 +176,37 @@ Result<CommitTime> TxnManager::CommitGrouped(Transaction* txn) {
   }
   std::vector<PendingCommit*> batch(gc_queue_.begin(), gc_queue_.end());
   gc_queue_.clear();
-  group_sizes_.push_back(static_cast<uint32_t>(batch.size()));
+  ++batch_stats_.batches;
+  batch_stats_.commits += batch.size();
+  batch_stats_.max_batch = std::max(batch_stats_.max_batch,
+                                    static_cast<uint32_t>(batch.size()));
   gc_last_batch_ = batch.size();
   lk.unlock();
 
   // One force pass makes every batch member's pages stable, then one
   // batched append commits them all at consecutive ticks.
-  Status force = ForceAll();
-  std::vector<CommitTime> times;
-  Status append = force;
-  if (force.ok()) {
+  auto force_and_record = [&]() -> Result<CommitTime> {
+    PGLO_RETURN_IF_ERROR(ForceAll());
     std::vector<Xid> xids;
     xids.reserve(batch.size());
     for (PendingCommit* p : batch) xids.push_back(p->txn->xid());
-    append = clog_->RecordCommitBatch(xids, &times).status();
-  }
+    return clog_->RecordCommit(xids);
+  };
+  Result<CommitTime> first = force_and_record();
   for (size_t i = 0; i < batch.size(); ++i) {
     PendingCommit* p = batch[i];
-    if (append.ok()) {
+    if (first.ok()) {
+      CommitTime time = first.value() + i;
       if (events_ != nullptr) {
-        events_->Append(EventType::kTxnCommit, "group", p->txn->xid(),
-                        times[i]);
+        events_->Append(EventType::kTxnCommit, "", p->txn->xid(), time);
       }
       p->txn->state_ = TxnState::kCommitted;
       Finish(p->txn, /*committed=*/true);
-      p->result = times[i];
+      p->result = time;
     } else {
       // The batch failed as a unit (flush or append error). Every member
       // stays active; callers may retry or abort individually.
-      p->result = append;
+      p->result = first.status();
     }
   }
 
@@ -237,7 +224,8 @@ Status TxnManager::Abort(Transaction* txn) {
     return Status::InvalidArgument("transaction already finished");
   }
   // Without an XID no tuple carries the transaction, and no record is
-  // needed to say so.
+  // needed to say so. With one, the record is not forced: a lost abort
+  // record reads as aborted too.
   if (txn->xid() != kInvalidXid) {
     PGLO_RETURN_IF_ERROR(clog_->RecordAbort(txn->xid()));
   }

@@ -32,15 +32,16 @@ namespace pglo {
 /// Only a transaction that wrote pays for that protocol. XIDs are assigned
 /// lazily, at the first write (Transaction::AssignXid); a transaction that
 /// ends without one has nothing to force and nothing to record, so its
-/// Commit and Abort touch neither the pool, the commit log, nor the commit
-/// serializer.
+/// Commit and Abort touch neither the pool, the commit log, nor the
+/// group-commit queue.
 ///
 /// Thread-safe: backends (Sessions) begin, commit, and abort concurrently.
-/// Writing commits serialize — the force policy flushes the whole pool, so
-/// there is nothing to overlap — either behind a plain mutex (default,
-/// preserving the single-stream sequence exactly) or through the
-/// group-commit queue (SetGroupCommit), where one leader flushes once and
-/// appends every waiting committer's record in a single pwrite + fdatasync.
+/// Every writing commit goes through one group-commit queue: the force
+/// policy flushes the whole pool, so there is nothing to overlap, and one
+/// leader flushes once and appends every waiting committer's record in a
+/// single pwrite + fdatasync. An uncontended stream forms batches of one
+/// whose leader never waits to gather, so its force and fdatasync sequence
+/// is one flush and one record sync per commit.
 class TxnManager {
  public:
   TxnManager(CommitLog* clog, BufferPool* pool)
@@ -65,11 +66,6 @@ class TxnManager {
   /// writes. DESIGN.md §11 gives the crash argument.
   Status OpenXidFile(const std::string& path);
 
-  /// Enables group commit (DESIGN.md §13). Configuration-time only; off by
-  /// default, which keeps single-stream commit behavior bit-identical.
-  void SetGroupCommit(bool enabled) { group_commit_ = enabled; }
-  bool group_commit() const { return group_commit_; }
-
   /// Starts a read-write transaction with a "current" snapshot and no XID
   /// (the first write assigns one).
   Transaction* Begin();
@@ -86,8 +82,8 @@ class TxnManager {
   /// being dereferenced.
   Result<CommitTime> Commit(Transaction* txn);
 
-  /// Aborts: records the abort (nothing, for a transaction without an
-  /// XID); data pages are untouched.
+  /// Aborts: appends an abort record without forcing it (nothing, for a
+  /// transaction without an XID); data pages are untouched.
   Status Abort(Transaction* txn);
 
   /// The latest commit tick — the "now" that time-travel queries address.
@@ -105,14 +101,12 @@ class TxnManager {
   /// abort). Null = silent. Configuration-time only.
   void BindEventLog(EventLog* events) { events_ = events; }
 
-  /// Wait instrumentation (DESIGN.md §14): the single-commit serializer
-  /// reports under `txn.commit_serialize`, the group-commit queue under
-  /// `clog.group_commit.follower` (waiting out a leader's round) and
+  /// Wait instrumentation (DESIGN.md §14): the group-commit queue reports
+  /// under `clog.group_commit.follower` (waiting out a leader's round) and
   /// `clog.group_commit.gather` (the leader's bounded refill wait).
   /// Configuration-time only.
   void BindWaits(const WaitStatsTable* waits) {
     if (waits == nullptr) return;
-    wp_commit_serialize_ = waits->point(WaitEvent::kTxnCommitSerialize);
     wp_gc_follower_ = waits->point(WaitEvent::kGroupCommitFollower);
     wp_gc_gather_ = waits->point(WaitEvent::kGroupCommitGather);
   }
@@ -123,11 +117,18 @@ class TxnManager {
     return active_.size();
   }
 
-  /// Commit batches the group-commit path has formed: groups.size() is the
-  /// number of leader rounds, each value the number of transactions that
-  /// round committed with one flush + one log append. Empty when group
-  /// commit is off. Read at quiescence.
-  const std::vector<uint32_t>& group_sizes() const { return group_sizes_; }
+  /// Commit batches formed since open: leader rounds, the transactions
+  /// they carried (each round one flush + one log append), and the largest
+  /// round. Diff two readings to measure a window; max_batch is since open.
+  struct CommitBatchStats {
+    uint64_t batches = 0;
+    uint64_t commits = 0;
+    uint32_t max_batch = 0;
+  };
+  CommitBatchStats commit_batch_stats() const {
+    std::lock_guard<std::mutex> lock(gc_mu_);
+    return batch_stats_;
+  }
 
  private:
   struct PendingCommit {
@@ -147,8 +148,6 @@ class TxnManager {
   bool IsActive(Transaction* txn) const;
   /// The force-at-commit steps: pool flush + registered hooks.
   Status ForceAll();
-  Result<CommitTime> CommitSingle(Transaction* txn);
-  Result<CommitTime> CommitGrouped(Transaction* txn);
 
   CommitLog* clog_;
   BufferPool* pool_;
@@ -161,16 +160,13 @@ class TxnManager {
   std::unordered_map<Transaction*, std::unique_ptr<Transaction>> active_;
   std::vector<std::function<Status()>> force_hooks_;
   EventLog* events_ = nullptr;
-  const WaitPoint* wp_commit_serialize_ = nullptr;
   const WaitPoint* wp_gc_follower_ = nullptr;
   const WaitPoint* wp_gc_gather_ = nullptr;
 
-  bool group_commit_ = false;
-  std::mutex commit_mu_;  ///< serializes the non-grouped commit sequence
   // Group-commit queue (guarded by gc_mu_): committers enqueue themselves;
   // whoever finds no leader running becomes leader and commits the whole
   // queue in one force + one batched log append.
-  std::mutex gc_mu_;
+  mutable std::mutex gc_mu_;
   std::condition_variable gc_cv_;
   std::deque<PendingCommit*> gc_queue_;
   bool gc_leader_active_ = false;
@@ -179,7 +175,7 @@ class TxnManager {
   /// draining, so steady-state batches track the live committer count
   /// instead of collapsing to whoever raced in first.
   size_t gc_last_batch_ = 0;
-  std::vector<uint32_t> group_sizes_;  ///< guarded by gc_mu_
+  CommitBatchStats batch_stats_;  ///< guarded by gc_mu_
 };
 
 }  // namespace pglo

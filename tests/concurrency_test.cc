@@ -225,24 +225,23 @@ TEST_F(ConcurrencyTest, CompactionConcurrentWithSnapshotReaders) {
 }
 
 TEST_F(ConcurrencyTest, GroupCommitBatchesFsyncsWithoutLosingCommits) {
-  DatabaseOptions options = Options();
-  options.group_commit = true;
   Database db;
-  ASSERT_OK(db.Open(options));
+  ASSERT_OK(db.Open(Options()));
   constexpr int kCommitters = 8;
   std::vector<Oid> oids = CreateObjects(&db, kCommitters);
 
   uint64_t fsyncs_before = db.txns().commit_log().fsync_count();
-  // Single commits (setup above, bootstrap) also flow through the grouped
-  // path as 1-member batches; diff against this point.
-  size_t batches_before = db.txns().group_sizes().size();
+  // Single commits (setup above, bootstrap) also flow through the queue as
+  // 1-member batches; diff against this point.
+  const TxnManager::CommitBatchStats before = db.txns().commit_batch_stats();
   std::vector<int> last_committed(kCommitters, 0);
   uint64_t total_commits = 0;
 
   // Rounds of simultaneous commits (a spin barrier lines the threads up)
-  // until the leader demonstrably absorbed followers: some recorded batch
-  // has 2+ members. With 8 threads per round this converges immediately in
-  // practice; the loop bound only guards pathological scheduling.
+  // until the leader demonstrably absorbed followers: some batch has 2+
+  // members, i.e. fewer batches than commits. With 8 threads per round
+  // this converges immediately in practice; the loop bound only guards
+  // pathological scheduling.
   int round = 0;
   bool batched = false;
   while (!batched && round < 50) {
@@ -266,10 +265,8 @@ TEST_F(ConcurrencyTest, GroupCommitBatchesFsyncsWithoutLosingCommits) {
     for (auto& th : threads) th.join();
     for (int t = 0; t < kCommitters; ++t) last_committed[t] = round;
     total_commits += kCommitters;
-    const auto& sizes = db.txns().group_sizes();
-    for (size_t i = batches_before; i < sizes.size(); ++i) {
-      if (sizes[i] >= 2) batched = true;
-    }
+    const TxnManager::CommitBatchStats now = db.txns().commit_batch_stats();
+    batched = now.batches - before.batches < total_commits;
   }
   ASSERT_TRUE(batched) << "no commit batch formed in " << round << " rounds";
 
@@ -278,10 +275,9 @@ TEST_F(ConcurrencyTest, GroupCommitBatchesFsyncsWithoutLosingCommits) {
   uint64_t fsyncs = db.txns().commit_log().fsync_count() - fsyncs_before;
   EXPECT_LT(fsyncs, total_commits);
   // Bookkeeping agrees: every round commit is in exactly one batch.
-  uint64_t grouped = 0;
-  const auto& sizes = db.txns().group_sizes();
-  for (size_t i = batches_before; i < sizes.size(); ++i) grouped += sizes[i];
-  EXPECT_EQ(grouped, total_commits);
+  const TxnManager::CommitBatchStats after = db.txns().commit_batch_stats();
+  EXPECT_EQ(after.commits - before.commits, total_commits);
+  EXPECT_GE(after.max_batch, 2u);
 
   // Zero lost commits: pull the plug and re-read every object.
   ASSERT_OK(db.SimulateCrashAndReopen());
@@ -358,21 +354,27 @@ TEST_F(ConcurrencyTest, BackendIdsAreDense) {
   ASSERT_OK(db.Close());
 }
 
-TEST_F(ConcurrencyTest, GroupCommitOffKeepsOneFsyncPerCommit) {
-  // With the flag off (the default), the historical 1:1 commit/fsync
-  // sequence is preserved — this is what keeps single-stream benchmark
-  // times bit-identical to the pre-concurrency engine.
+TEST_F(ConcurrencyTest, SingleStreamKeepsOneFsyncPerCommit) {
+  // An uncontended stream forms batches of one whose leader never gathers,
+  // so it keeps the historical 1:1 commit/fsync sequence — this is what
+  // keeps single-stream benchmark times bit-identical.
   Database db;
   ASSERT_OK(db.Open(Options()));
   auto session = db.Connect();
   uint64_t before = db.txns().commit_log().fsync_count();
+  const TxnManager::CommitBatchStats batches_before =
+      db.txns().commit_batch_stats();
   for (int i = 0; i < 5; ++i) {
     session->Begin();
     ASSERT_OK(session->CreateLo(LoSpec{}).status());
     ASSERT_OK(session->Commit().status());
   }
   EXPECT_EQ(db.txns().commit_log().fsync_count() - before, 5u);
-  EXPECT_TRUE(db.txns().group_sizes().empty());
+  const TxnManager::CommitBatchStats batches_after =
+      db.txns().commit_batch_stats();
+  EXPECT_EQ(batches_after.batches - batches_before.batches, 5u);
+  EXPECT_EQ(batches_after.commits - batches_before.commits, 5u);
+  EXPECT_EQ(batches_after.max_batch, 1u);
   ASSERT_OK(db.Close());
 }
 

@@ -8,6 +8,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "db/check.h"
 #include "db/database.h"
@@ -71,8 +72,8 @@ TEST(CommitLogCrashTest, TruncatedMidRecordIsAborted) {
     ASSERT_OK(clog.Open(path));
     first = 100;
     second = 101;
-    ASSERT_OK(clog.RecordCommit(first).status());
-    ASSERT_OK(clog.RecordCommit(second).status());
+    ASSERT_OK(clog.RecordCommit({first}).status());
+    ASSERT_OK(clog.RecordCommit({second}).status());
     ASSERT_OK(clog.Close());
   }
   const off_t rec = static_cast<off_t>(CommitLog::RecordSize());
@@ -86,7 +87,7 @@ TEST(CommitLogCrashTest, TruncatedMidRecordIsAborted) {
     EXPECT_EQ(clog.GetState(second), TxnState::kAborted);
     // Replay discarded the torn tail, so the next append lands on a
     // record boundary rather than extending the garbage.
-    ASSERT_OK(clog.RecordCommit(102).status());
+    ASSERT_OK(clog.RecordCommit({102}).status());
     EXPECT_EQ(clog.GetState(102), TxnState::kCommitted);
     ASSERT_OK(clog.Close());
   }
@@ -107,8 +108,8 @@ TEST(CommitLogCrashTest, TruncatedOnRecordEdgeIsAborted) {
   {
     CommitLog clog;
     ASSERT_OK(clog.Open(path));
-    ASSERT_OK(clog.RecordCommit(7).status());
-    ASSERT_OK(clog.RecordCommit(8).status());
+    ASSERT_OK(clog.RecordCommit({7}).status());
+    ASSERT_OK(clog.RecordCommit({8}).status());
     ASSERT_OK(clog.Close());
   }
   ASSERT_EQ(::truncate(path.c_str(),
@@ -132,13 +133,13 @@ TEST(CommitLogCrashTest, InjectedTornAppendResolvesOnReplay) {
       CommitLog clog;
       clog.SetFaultInjector(&inj);
       ASSERT_OK(clog.Open(path));
-      ASSERT_OK(clog.RecordCommit(41).status());
+      ASSERT_OK(clog.RecordCommit({41}).status());
       FaultPlan plan;
       plan.seed = seed;
       plan.crash_after_writes = 1;
       plan.torn_writes = true;
       inj.Arm(plan);
-      Result<CommitTime> r = clog.RecordCommit(42);
+      Result<CommitTime> r = clog.RecordCommit({42});
       ASSERT_FALSE(r.ok());
       EXPECT_TRUE(FaultInjector::IsInjectedCrash(r.status()));
       inj.Disarm();
@@ -155,6 +156,66 @@ TEST(CommitLogCrashTest, InjectedTornAppendResolvesOnReplay) {
       EXPECT_EQ(clog.GetState(42), TxnState::kAborted);
     }
   }
+}
+
+TEST(CommitLogCrashTest, TornBatchAppendKeepsWholeRecordPrefix) {
+  // A group commit appends its batch as one write. A crash that tears it
+  // must leave a committed prefix of whole records, at consecutive ticks,
+  // with the rest of the batch aborted — whether the cut fell on a record
+  // edge or inside a record. The seed picks the cut; sweep seeds until
+  // both kinds of cut have been checked.
+  const std::vector<Xid> batch = {51, 52, 53};
+  const size_t rec = CommitLog::RecordSize();
+  bool cut_on_edge = false;
+  bool cut_mid_record = false;
+  for (uint64_t seed = 1; seed <= 512 && !(cut_on_edge && cut_mid_record);
+       ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    TempDir td;
+    std::string path = td.Sub("clog");
+    FaultInjector inj;
+    CommitTime before_batch;
+    {
+      CommitLog clog;
+      clog.SetFaultInjector(&inj);
+      ASSERT_OK(clog.Open(path));
+      ASSERT_OK_AND_ASSIGN(before_batch, clog.RecordCommit({41}));
+      FaultPlan plan;
+      plan.seed = seed;
+      plan.crash_after_writes = 1;
+      inj.Arm(plan);
+      Result<CommitTime> r = clog.RecordCommit(batch);
+      ASSERT_FALSE(r.ok());
+      EXPECT_TRUE(FaultInjector::IsInjectedCrash(r.status()));
+      inj.Disarm();
+      // No Close(): the process just died.
+    }
+    const size_t torn = static_cast<size_t>(FileSize(path)) - rec;
+    if (torn == 0 || torn == batch.size() * rec) continue;  // not a tear
+    const size_t whole = torn / rec;
+    if (torn % rec == 0) {
+      cut_on_edge = true;
+    } else {
+      cut_mid_record = true;
+    }
+    CommitLog clog;
+    ASSERT_OK(clog.Open(path));
+    EXPECT_EQ(clog.GetState(41), TxnState::kCommitted);
+    for (size_t i = 0; i < batch.size(); ++i) {
+      XidStatus st = clog.Resolve(batch[i]);
+      if (i < whole) {
+        EXPECT_EQ(st.state, TxnState::kCommitted) << "member " << i;
+        EXPECT_EQ(st.commit_time, before_batch + 1 + i) << "member " << i;
+      } else {
+        EXPECT_EQ(st.state, TxnState::kAborted) << "member " << i;
+      }
+    }
+    EXPECT_EQ(clog.Now(), before_batch + whole);
+    // Replay cut the partial record away: the file is the whole prefix.
+    EXPECT_EQ(static_cast<size_t>(FileSize(path)), (1 + whole) * rec);
+  }
+  EXPECT_TRUE(cut_on_edge) << "no seed cut the batch on a record edge";
+  EXPECT_TRUE(cut_mid_record) << "no seed cut the batch inside a record";
 }
 
 TEST(WormCrashTest, CrashBetweenBurnAndMapOrphansTheBlock) {

@@ -93,7 +93,7 @@ TEST_F(DatabaseTest, ReadOnlyTransactionsDoNoDurabilityWork) {
   EXPECT_GT(after.clog_bytes.size(), before.clog_bytes.size());
   EXPECT_GT(after.writebacks, before.writebacks);
   EXPECT_GT(after.data_syncs, before.data_syncs);
-  EXPECT_GT(after.commit_serializations, before.commit_serializations);
+  EXPECT_GT(after.commit_batches, before.commit_batches);
   ASSERT_OK(db.Close());
 }
 
@@ -121,7 +121,7 @@ TEST_F(DatabaseTest, UfileOnlyTransactionForcesTheUfsAtCommit) {
   ASSERT_OK(session->Commit().status());
   DurabilityProbe after = DurabilityProbe::Take(db);
   EXPECT_GT(after.clog_fsyncs, before.clog_fsyncs);
-  EXPECT_GT(after.commit_serializations, before.commit_serializations);
+  EXPECT_GT(after.commit_batches, before.commit_batches);
 
   ASSERT_OK(db.SimulateCrashAndReopen());
   session = db.Connect();
@@ -129,6 +129,56 @@ TEST_F(DatabaseTest, UfileOnlyTransactionForcesTheUfsAtCommit) {
   ASSERT_OK_AND_ASSIGN(fd, session->OpenLo(oid, false));
   ASSERT_OK_AND_ASSIGN(Bytes got, fd->Read(image.size() + 1));
   EXPECT_EQ(got, image);
+  ASSERT_OK(session->Abort());
+  ASSERT_OK(db.Close());
+}
+
+TEST_F(DatabaseTest, WritingAbortAppendsOneUnforcedRecord) {
+  // A missing or torn abort record reads as aborted, so a writing
+  // transaction's abort appends its record and forces nothing: no
+  // commit-log fdatasync, no pool flush, no commit batch.
+  Database db;
+  ASSERT_OK(db.Open(Options()));
+  auto session = db.Connect();
+  session->Begin();
+  ASSERT_OK_AND_ASSIGN(Oid oid, session->CreateLo(LoSpec{}));
+  ASSERT_OK(session->Commit().status());
+
+  session->Begin();
+  ASSERT_OK_AND_ASSIGN(LoDescriptor * fd, session->OpenLo(oid, true));
+  ASSERT_OK(fd->Write(Slice(Bytes(4096, 0x42))));
+  const Xid xid = session->txn()->xid();
+  ASSERT_NE(xid, kInvalidXid);
+  DurabilityProbe before = DurabilityProbe::Take(db);
+  ASSERT_OK(session->Abort());
+  DurabilityProbe after = DurabilityProbe::Take(db);
+  EXPECT_EQ(after.clog_fsyncs, before.clog_fsyncs) << "commit-log fdatasync";
+  ASSERT_EQ(after.clog_bytes.size(),
+            before.clog_bytes.size() + CommitLog::RecordSize());
+  EXPECT_EQ(after.clog_bytes.compare(0, before.clog_bytes.size(),
+                                     before.clog_bytes),
+            0)
+      << "the abort record is appended, nothing before it changes";
+  EXPECT_EQ(after.xid_bytes, before.xid_bytes) << "xid-file bytes";
+  EXPECT_EQ(after.writebacks, before.writebacks) << "buffer-pool flush";
+  EXPECT_EQ(after.data_syncs, before.data_syncs) << "data syncfs";
+  EXPECT_EQ(after.commit_batches, before.commit_batches)
+      << "group-commit batch";
+  EXPECT_EQ(db.txns().commit_log().GetState(xid), TxnState::kAborted);
+
+  // The next commit's fdatasync covers the abort record too; across a
+  // crash the aborted bytes stay invisible either way.
+  session->Begin();
+  ASSERT_OK(session->CreateLo(LoSpec{}).status());
+  ASSERT_OK(session->Commit().status());
+  EXPECT_EQ(DurabilityProbe::Take(db).clog_fsyncs, after.clog_fsyncs + 1);
+  ASSERT_OK(db.SimulateCrashAndReopen());
+  EXPECT_EQ(db.txns().commit_log().GetState(xid), TxnState::kAborted);
+  session = db.Connect();
+  session->Begin();
+  ASSERT_OK_AND_ASSIGN(fd, session->OpenLo(oid, false));
+  ASSERT_OK_AND_ASSIGN(Bytes got, fd->Read(4096));
+  EXPECT_TRUE(got.empty());
   ASSERT_OK(session->Abort());
   ASSERT_OK(db.Close());
 }

@@ -13,15 +13,15 @@ namespace testing {
 
 /// The durability work a database has done so far, read from outside the
 /// engine: commit-log fdatasyncs and bytes, xid-file bytes, buffer-pool
-/// write-backs and data syncs, and entries into the commit serializer. Two
-/// equal probes around a transaction's end mean the end cost none of it.
+/// write-backs and data syncs, and group-commit batches formed. Two equal
+/// probes around a transaction's end mean the end cost none of it.
 struct DurabilityProbe {
   uint64_t clog_fsyncs = 0;
   std::string clog_bytes;
   std::string xid_bytes;
   uint64_t writebacks = 0;
   uint64_t data_syncs = 0;
-  uint64_t commit_serializations = 0;
+  uint64_t commit_batches = 0;
 
   static DurabilityProbe Take(Database& db) {
     DurabilityProbe p;
@@ -31,7 +31,7 @@ struct DurabilityProbe {
     StatsSnapshot s = db.Stats();
     p.writebacks = s.Value("bufpool.writebacks");
     p.data_syncs = s.Value("wait.bufpool.data_sync.acquires");
-    p.commit_serializations = s.Value("wait.txn.commit_serialize.acquires");
+    p.commit_batches = db.txns().commit_batch_stats().batches;
     return p;
   }
 
@@ -50,8 +50,8 @@ inline void ExpectNoDurabilityWork(const DurabilityProbe& before,
   EXPECT_EQ(after.xid_bytes, before.xid_bytes) << "xid-file bytes";
   EXPECT_EQ(after.writebacks, before.writebacks) << "buffer-pool flush";
   EXPECT_EQ(after.data_syncs, before.data_syncs) << "data syncfs";
-  EXPECT_EQ(after.commit_serializations, before.commit_serializations)
-      << "commit serializer";
+  EXPECT_EQ(after.commit_batches, before.commit_batches)
+      << "group-commit batch";
 }
 
 }  // namespace testing

@@ -23,8 +23,8 @@ class CommitLogTest : public ::testing::Test {
 TEST_F(CommitLogTest, CommitAssignsIncreasingTimes) {
   CommitLog clog;
   ASSERT_OK(clog.Open(dir_.Sub("clog")));
-  ASSERT_OK_AND_ASSIGN(CommitTime t1, clog.RecordCommit(2));
-  ASSERT_OK_AND_ASSIGN(CommitTime t2, clog.RecordCommit(3));
+  ASSERT_OK_AND_ASSIGN(CommitTime t1, clog.RecordCommit({2}));
+  ASSERT_OK_AND_ASSIGN(CommitTime t2, clog.RecordCommit({3}));
   EXPECT_LT(t1, t2);
   EXPECT_EQ(clog.Now(), t2);
   EXPECT_EQ(clog.GetState(2), TxnState::kCommitted);
@@ -55,9 +55,9 @@ TEST_F(CommitLogTest, ReplayAfterReopen) {
   {
     CommitLog clog;
     ASSERT_OK(clog.Open(dir_.Sub("clog")));
-    ASSERT_OK(clog.RecordCommit(2).status());
+    ASSERT_OK(clog.RecordCommit({2}).status());
     ASSERT_OK(clog.RecordAbort(3));
-    ASSERT_OK(clog.RecordCommit(4).status());
+    ASSERT_OK(clog.RecordCommit({4}).status());
   }
   CommitLog clog;
   ASSERT_OK(clog.Open(dir_.Sub("clog")));
@@ -66,7 +66,7 @@ TEST_F(CommitLogTest, ReplayAfterReopen) {
   EXPECT_EQ(clog.GetState(4), TxnState::kCommitted);
   EXPECT_EQ(clog.MaxRecordedXid(), 4u);
   // New commits continue after the replayed high-water mark.
-  ASSERT_OK_AND_ASSIGN(CommitTime t, clog.RecordCommit(5));
+  ASSERT_OK_AND_ASSIGN(CommitTime t, clog.RecordCommit({5}));
   EXPECT_GT(t, clog.Resolve(4).commit_time);
 }
 
@@ -74,7 +74,7 @@ TEST_F(CommitLogTest, TruncatesTornTail) {
   {
     CommitLog clog;
     ASSERT_OK(clog.Open(dir_.Sub("clog")));
-    ASSERT_OK(clog.RecordCommit(2).status());
+    ASSERT_OK(clog.RecordCommit({2}).status());
   }
   // Append garbage simulating a torn write.
   FILE* f = fopen(dir_.Sub("clog").c_str(), "ab");
@@ -84,7 +84,7 @@ TEST_F(CommitLogTest, TruncatesTornTail) {
   CommitLog clog;
   ASSERT_OK(clog.Open(dir_.Sub("clog")));
   EXPECT_EQ(clog.GetState(2), TxnState::kCommitted);
-  ASSERT_OK(clog.RecordCommit(3).status());
+  ASSERT_OK(clog.RecordCommit({3}).status());
 }
 
 class TxnTest : public ::testing::Test {

@@ -132,10 +132,11 @@ concurrency_gate() {
   trap 'rm -rf "$workdir"' EXIT
   out="$workdir/BENCH_concurrency_quick.json"
   # The bench enforces its own wall-clock scaling floor (exit non-zero when
-  # 8 backends fail to beat 1 backend by the documented margin). Simulated
-  # times under K>1 backends depend on thread interleaving, so the JSON is
-  # schema-validated but not compared against a baseline — wall scaling is
-  # the gated property here.
+  # 8 backends fail to beat 1 backend by the documented margin) and, at one
+  # backend, exactly one commit-log fsync per commit and none per abort
+  # (exit non-zero otherwise). Simulated times under K>1 backends depend
+  # on thread interleaving, so the JSON is schema-validated but not
+  # compared against a baseline — wall scaling is the gated property here.
   "$builddir/bench/bench_concurrency" --quick --json="$out" \
       "$workdir/db" > "$workdir/bench.log"
   "$builddir/tools/bench_compare" --validate "$out"

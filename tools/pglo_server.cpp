@@ -1,7 +1,7 @@
 // pglo_server — the pglo socket server (pglo-wire-v1; DESIGN.md §16).
 //
 //   pglo_server [--host=ADDR] [--port=N] [--max-connections=N]
-//               [--group-commit] [--blackbox-every=SECS] DBDIR
+//               [--blackbox-every=SECS] DBDIR
 //
 // Opens (creating on first use) the database under DBDIR, bootstraps the
 // Inversion file system, and serves large-object and Inversion-path
@@ -39,7 +39,7 @@ void OnSignal(int) { g_stop = 1; }
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--host=ADDR] [--port=N] [--max-connections=N]\n"
-               "          [--group-commit] [--blackbox-every=SECS] DBDIR\n",
+               "          [--blackbox-every=SECS] DBDIR\n",
                argv0);
   return 2;
 }
@@ -49,7 +49,6 @@ int Usage(const char* argv0) {
 int main(int argc, char** argv) {
   pglo::ServerOptions server_options;
   std::string dir;
-  bool group_commit = false;
   int blackbox_every = 0;
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
@@ -60,8 +59,6 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(a, "--max-connections=", 18) == 0) {
       server_options.max_connections =
           static_cast<uint32_t>(std::atoi(a + 18));
-    } else if (std::strcmp(a, "--group-commit") == 0) {
-      group_commit = true;
     } else if (std::strncmp(a, "--blackbox-every=", 17) == 0) {
       blackbox_every = std::atoi(a + 17);
     } else if (a[0] == '-') {
@@ -78,7 +75,6 @@ int main(int argc, char** argv) {
   options.dir = dir;
   options.buffer_pool_frames = 4096;
   options.charge_devices = false;  // serve at wall speed; no 1992 device sim
-  options.group_commit = group_commit;
   pglo::Database db;
   pglo::Status s = db.Open(options);
   if (!s.ok()) {
@@ -104,10 +100,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "start: %s\n", s.ToString().c_str());
     return 1;
   }
-  std::printf("pglo_server listening on %s:%u (max %u connections)%s\n",
+  std::printf("pglo_server listening on %s:%u (max %u connections)\n",
               server_options.host.c_str(), server.port(),
-              server_options.max_connections,
-              group_commit ? ", group commit on" : "");
+              server_options.max_connections);
   std::fflush(stdout);
 
   std::signal(SIGINT, OnSignal);
